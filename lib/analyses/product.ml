@@ -3,7 +3,7 @@
 
    The domain-level pairing is {!Framework.Product.Make} applied to the
    escape Spec and the usage Spec: one solver run settles both
-   components in lockstep (same demand keys, same read frames, shared
+   components in lockstep (same demanded instances, same read frames, shared
    invalidation).  The {e reduction} happens where both components are
    in hand, per (definition, parameter):
 

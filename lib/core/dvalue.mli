@@ -12,27 +12,56 @@
     values additionally carry one abstract value {e per component}
     ([D_e^{t1 * t2}] tracks components separately; [fst]/[snd] project).
     Values also carry their [nml] type — it drives bottoms, tops,
-    worst-case functions and probes, never the ordering — and a unique
-    [id] used for caching.
+    worst-case functions and probes, never the ordering — and an [id]
+    naming their function component for caching.
 
     {b Pending application.}  The function component of a recursive
     definition's abstract value re-enters itself when applied (the
     abstract [cdr] is the identity, so recursive calls repeat the same
     abstract arguments).  {!apply} therefore performs the classic
     {e pending analysis} of higher-order abstract interpretation: each
-    (function id, argument key) gets a table entry; a cyclic re-entry
-    returns the entry's current approximation (initially the bottom of
-    the result type); when the body's result exceeds the approximation
-    the application is re-run until it stabilizes.  Domains are finite
-    (section 3.5), so this terminates and computes the least fixpoint of
-    the self-application.  Completed entries also serve as a memo table,
+    (function, argument key) gets an entry; a cyclic re-entry returns
+    the entry's current approximation (initially the bottom of the
+    result type); when the body's result exceeds the approximation the
+    application is re-run until it stabilizes, and every entry completed
+    against the older approximation is stale (it recorded a read of the
+    approximation, see {!source}).  Domains are finite (section 3.5), so
+    this terminates and computes the least fixpoint of the
+    self-application.  Completed entries also serve as a memo table,
     which makes evaluation polynomial where naive unfolding is
     exponential in the Kleene depth.
 
-    The argument key of a base-shaped argument is its basic escape value
-    (exact: such a value is determined by it); for an arrow-shaped
-    argument it is the value's [id] (sound: same id, same value); for a
-    product it is the tuple of component keys.
+    {b Identity.}  An [id] names one function component, not one
+    construction.  Values that depend only on their type have one value,
+    hence one id, per {!state}: primitives per (primitive, type)
+    ({!interned_prim}), bottoms per arrow type, probes and worst-case
+    values per (containment, type).  A copy that changes only the first
+    component ({!with_esc}) gets a fresh id but keeps the function — and
+    its cells; one that changes only the type ({!with_ty}) keeps the id.
+    Every other construction — a closure, a join, a fixpoint iterate —
+    gets a fresh id, so two iterates of one solver entry never share
+    one.
+
+    {b Cells.}  The argument key of a base-shaped argument is its basic
+    escape value (exact: such a value is determined by it), so an arrow
+    value whose parameter is base-shaped ({!base_param}) is {e
+    tabulated}: it carries a lazily filled array of cells indexed by the
+    argument's position in [B_e] ([<0,0>] at 0, [<1,i>] at [i+1]), each
+    cell an entry as above, and applying it reads or fills a cell.  A
+    curried first-order definition becomes a trie: a {!stage} per
+    argument prefix, built once in its parent's cell, with only the last
+    stage's cells evaluating the body — the first-order case of the
+    paper, where probing is exact and the cells are exactly
+    {!Enumerate}'s table, filled on demand.  Every other arrow value is
+    memoized in the state's hash table under (id, argument key), where
+    the key of an arrow-shaped argument is its [id] (sound: same id,
+    same function) and that of a product the tuple of component keys.
+
+    {b Counters.}  A {e miss} is a cell or memo entry filled (one
+    abstract application computed, or one trie stage built); a {e hit}
+    is an application answered by a complete, valid cell or entry; an
+    {e invalidation} is a complete entry discarded because a source it
+    read was touched since.  A cyclic re-entry is neither.
 
     {b Chain bound.}  Extensional comparison probes functions with every
     element of the basic chain [B_e] up to the bound [d] of the current
@@ -41,21 +70,27 @@
 
     {b Solver state.}  All mutable engine state — the application memo,
     the probe and intern tables, the chain bound, the read-frame stack
-    and the statistics counters — lives in an explicit {!state}.  Each
-    domain has a private ambient state ({!current_state}); a solver owns
-    a state of its own and installs it with {!with_state} around every
-    operation, so concurrently live solvers (including solvers in
-    different domains) are shared-nothing.  Value and source {e ids} are
-    process-global atomics: they are pure identity tags, and keeping them
-    globally unique makes values safe to carry across states (a foreign
-    value at worst misses a memo, it can never collide). *)
+    and the statistics counters — lives in an explicit {!state}; the
+    cells of a tabulated value live in the value, which belongs to the
+    state it was built in.  Each domain has a private ambient state
+    ({!current_state}); a solver owns a state of its own and installs it
+    with {!with_state} around every operation, so concurrently live
+    solvers (including solvers in different domains) are shared-nothing:
+    interned values are never shared across states.  Value and source
+    {e ids} are process-global atomics, so two states never mint the
+    same id (a foreign value at worst misses a memo, it can never
+    collide). *)
+
+type tab
+(** The cell table of a tabulated arrow value (see above). *)
 
 type t = private {
-  id : int;  (** unique per constructed value *)
+  id : int;  (** names the function component (see Identity above) *)
   ty : Nml.Ty.t;  (** type of the expression this value abstracts *)
   esc : Besc.t;  (** first component *)
   app : t -> t;  (** second component; raises {!Err_applied} for base shapes *)
   prod : (t * t) option;  (** per-component values for product shapes *)
+  tab : tab option;  (** cells, for arrow values with a base-shaped parameter *)
 }
 
 exception Err_applied
@@ -64,6 +99,17 @@ exception Err_applied
 
 val v : ty:Nml.Ty.t -> esc:Besc.t -> app:(t -> t) -> t
 val base : ty:Nml.Ty.t -> Besc.t -> t
+
+val base_param : Nml.Ty.t -> bool
+(** Is this an arrow type whose parameter is base-shaped — the types at
+    which values are tabulated? *)
+
+val stage : ty:Nml.Ty.t -> esc:Besc.t -> next:(t -> t) -> t
+(** A trie-internal stage of a curried first-order function: like [v],
+    but each cell holds [next x], built once on first demand with no
+    pending bookkeeping.  [next] must only build the next stage (it may
+    read no solver state and never re-enter).  At a type whose parameter
+    is not base-shaped this is [v ~app:next]. *)
 
 val pair : ty:Nml.Ty.t -> esc:Besc.t -> t * t -> t
 (** A product-shaped value from its component values; [esc] is the
@@ -95,6 +141,13 @@ val top : d:int -> Nml.Ty.t -> t
 val saturate : esc:Besc.t -> Nml.Ty.t -> t
 (** "Something with containment [esc] of unknown structure": functions
     absorb their arguments, components inherit [esc]. *)
+
+val interned_prim : Nml.Ast.prim -> Nml.Ty.t -> (unit -> t) -> t
+(** [interned_prim p ty build] is the current state's value of primitive
+    [p] at type [ty], made by [build] on first demand.  A primitive's
+    abstract value depends only on its type, so every occurrence shares
+    one value per state — hence one id, and memo hits for its
+    applications across evaluations. *)
 
 (** {2 Solver state} *)
 
@@ -223,13 +276,15 @@ val mark_component : path:component list -> t -> t
 (** {2 Caches and statistics} *)
 
 val clear_cache : unit -> unit
-(** Drops every application entry wholesale (results stay correct;
-    cost/memory only).  The legacy round-robin solver clears between
+(** Drops every application entry wholesale, the memo table and (on
+    their next use) the cells of every tabulated value (results stay
+    correct; cost/memory only).  The legacy round-robin solver clears between
     passes; the worklist solver never needs to — staleness is detected
     per entry via the recorded sources. *)
 
 val cache_stats : unit -> int * int
-(** (hits, misses) since {!reset_stats}. *)
+(** (hits, misses) since {!reset_stats}, counted over cells and memo
+    entries alike (see Counters above). *)
 
 val invalidations : unit -> int
 (** Memo entries discarded because a recorded source was touched, since

@@ -11,15 +11,22 @@
 
     For first-order argument types (everything in the paper's examples)
     the function component of an argument is degenerate, so probing is
-    exact: the probe set covers the whole domain.  For higher-order
-    argument positions the comparison is approximate; the fixpoint engine
+    exact: the probe set covers the whole domain.  The probes of a
+    base-shaped parameter are one base value per element of [B_e], and
+    the values compared there are tabulated ({!Dvalue.base_param}):
+    comparison reads the two values' cells index by index, filling a
+    cell only the first time it is read.  For higher-order argument
+    positions the comparison is approximate; the fixpoint engine
     additionally caps iteration and falls back to the safe top value
-    (see {!Fixpoint}).  The full-enumeration alternative for first-order
-    types lives in {!Enumerate} and is compared in the benches.
+    (see {!Fixpoint}).  The eager full-enumeration alternative for
+    first-order types lives in {!Enumerate} and is compared in the
+    benches.
 
     This module is a thin veneer over the engine in {!Dvalue}: the bound
-    [d] is pushed into the module-level maximum ({!Dvalue.ensure_d}) and
-    the shared, id-stable probe cache is reused. *)
+    [d] is pushed into the current state's maximum ({!Dvalue.ensure_d})
+    and the state's probe cache is reused.  Probe values are interned
+    per state, one value (hence one id) per (bound, type), so an arrow
+    probe's applications hit the memo across comparisons and passes. *)
 
 val probes : d:int -> Nml.Ty.t -> Dvalue.t list
 (** Canonical argument values for an argument of the given type.  Base

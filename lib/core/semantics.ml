@@ -26,6 +26,7 @@ let const_value ~ty (c : Ast.const) =
   | Ast.Cnil | Ast.Cleaf -> Dvalue.bottom ty
 
 let prim_value ~ty (p : Ast.prim) =
+  Dvalue.interned_prim p ty @@ fun () ->
   let t1, rest = arrow_parts ty in
   match p with
   | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod | Ast.Eq | Ast.Ne | Ast.Lt
@@ -101,32 +102,42 @@ let rec eval ctx env (e : Tast.texpr) : Dvalue.t =
       let vf = eval ctx env f in
       let va = eval ctx env a in
       Dvalue.apply vf va
-  | Tast.Lam (x, body) ->
-      (* V = <0,0> ⊔ ⨆ { esc of z | z free in the lambda } (section 3.4);
-         globals contribute <0,0>. *)
-      let fvs =
-        match List.assq_opt e ctx.fv_cache with
-        | Some fvs -> fvs
-        | None ->
-            let fvs = Tast.free_vars e in
-            ctx.fv_cache <- (e, fvs) :: ctx.fv_cache;
-            fvs
-      in
-      let esc =
-        List.fold_left
-          (fun acc z ->
-            match Env.find_opt z env with
-            | Some v -> Besc.join acc (Dvalue.total_esc v)
-            | None -> acc)
-          Besc.zero fvs
-      in
-      Dvalue.v ~ty:e.Tast.ty ~esc ~app:(fun y -> eval ctx (Env.add x y env) body)
+  | Tast.Lam (x, body) -> lam_value ctx env e x body
   | Tast.If (_c, t, f) ->
       (* both branches may be taken at compile time *)
       Dvalue.join (eval ctx env t) (eval ctx env f)
   | Tast.Letrec (bs, body) ->
       let env' = solve_group ctx env bs in
       eval ctx env' body
+
+(* V = <0,0> ⊔ ⨆ { esc of z | z free in the lambda } (section 3.4);
+   globals contribute <0,0>.  A leading chain of lambdas with base-shaped
+   parameters becomes a trie of stages: a stage's cell holds the next
+   stage, built with the argument added to the environment, and only the
+   last lambda's cells evaluate the body — under the full environment of
+   the chain's arguments, as {!Enumerate} does. *)
+and lam_value ctx env (e : Tast.texpr) x body =
+  let fvs =
+    match List.assq_opt e ctx.fv_cache with
+    | Some fvs -> fvs
+    | None ->
+        let fvs = Tast.free_vars e in
+        ctx.fv_cache <- (e, fvs) :: ctx.fv_cache;
+        fvs
+  in
+  let esc =
+    List.fold_left
+      (fun acc z ->
+        match Env.find_opt z env with
+        | Some v -> Besc.join acc (Dvalue.total_esc v)
+        | None -> acc)
+      Besc.zero fvs
+  in
+  match body.Tast.desc with
+  | Tast.Lam (y, body') when Dvalue.base_param body.Tast.ty ->
+      Dvalue.stage ~ty:e.Tast.ty ~esc ~next:(fun a ->
+          lam_value ctx (Env.add x a env) body y body')
+  | _ -> Dvalue.v ~ty:e.Tast.ty ~esc ~app:(fun a -> eval ctx (Env.add x a env) body)
 
 (* Kleene iteration for a (nested) letrec group, Jacobi style: every
    right-hand side of round k+1 is evaluated under the round-k values. *)

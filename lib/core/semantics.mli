@@ -8,7 +8,11 @@
       {!Fixpoint}, which memoizes per (name, instance) and iterates).
 
     Conditionals join both branches; nested [letrec]s are solved inline
-    by Kleene iteration with probe-based convergence. *)
+    by Kleene iteration with probe-based convergence.  A leading chain of
+    lambdas with base-shaped parameters evaluates to a trie of
+    {!Dvalue.stage}s whose last stage's cells evaluate the body under
+    all the chain's arguments; primitives are interned per (primitive,
+    type) ({!Dvalue.interned_prim}). *)
 
 module Env : Map.S with type key = string
 

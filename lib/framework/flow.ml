@@ -93,7 +93,9 @@ module Make (F : FLAGS) () = struct
   module Env = Map.Make (String)
 
   type value = {
-    id : int;  (* unique per constructed value; memo key for arrow shapes *)
+    id : int;
+        (* memo key for arrow shapes: fresh per construction, except that
+           primitives and arrow bottoms have one value (one id) per state *)
     ty : Ty.t;
     flags : F.t;
     app : (value -> value) option;  (* arrow shapes only *)
@@ -115,16 +117,34 @@ module Make (F : FLAGS) () = struct
     mutable reentered : bool;
   }
 
+  (* values that depend only on their type — primitives (per primitive
+     and type) and arrow-typed bottoms — are built once per state, so
+     their ids are stable across evaluations *)
+  module Itbl = Hashtbl.Make (struct
+    type t = Ast.prim option * Ty.t
+
+    let equal (p, t) (q, u) = p = q && Ty.equal t u
+    let hash (p, t) = Hashtbl.hash (p, Ty.hash t)
+  end)
+
   type state = {
     mutable d : int;  (* chain bound (kept for parity; flags ignore it) *)
     mutable frames : (source * int) list ref list;  (* innermost first *)
     memo : (int * akey, centry) Hashtbl.t;  (* pending/memoized applications *)
+    interned : value Itbl.t;
     mutable hits : int;
     mutable misses : int;
   }
 
   let create_state () =
-    { d = 0; frames = []; memo = Hashtbl.create 64; hits = 0; misses = 0 }
+    {
+      d = 0;
+      frames = [];
+      memo = Hashtbl.create 64;
+      interned = Itbl.create 32;
+      hits = 0;
+      misses = 0;
+    }
 
   let ambient : state Domain.DLS.key = Domain.DLS.new_key create_state
   let installed : state option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
@@ -174,6 +194,15 @@ module Make (F : FLAGS) () = struct
     (s.hits, s.misses)
   let invalidations () = 0
 
+  let interned key build =
+    let st = current_state () in
+    match Itbl.find_opt st.interned key with
+    | Some v -> v
+    | None ->
+        let v = build () in
+        Itbl.add st.interned key v;
+        v
+
   (* ---- values ------------------------------------------------------------ *)
 
   (* worst-case evidence: a callee we know nothing about may do all of
@@ -192,7 +221,8 @@ module Make (F : FLAGS) () = struct
     match Ty.shape ty with
     | Ty.Sbase -> mk ~ty ~flags:F.bot ~app:None ~prod:None
     | Ty.Sarrow (_, b) ->
-        mk ~ty ~flags:F.bot ~app:(Some (fun _ -> bottom b)) ~prod:None
+        interned (None, ty) (fun () ->
+            mk ~ty ~flags:F.bot ~app:(Some (fun _ -> bottom b)) ~prod:None)
     | Ty.Sprod (t1, t2) ->
         mk ~ty ~flags:F.bot ~app:None ~prod:(Some (bottom t1, bottom t2))
 
@@ -359,6 +389,7 @@ module Make (F : FLAGS) () = struct
     | Ast.Cnil | Ast.Cleaf -> bottom ty
 
   let prim_value ~ty (p : Ast.prim) =
+    interned (Some p, ty) @@ fun () ->
     let _t1, rest = arrow_parts ty in
     let binop_base () =
       (* λx.λy. base datum computed from both operands *)
@@ -481,5 +512,4 @@ module Make (F : FLAGS) () = struct
   let equal ~d:_ a b = equal_v a b
   let leq ~d:_ a b = leq_v a b
   let widen ~d ty _v = top ~d ty
-  let demand_key name ty = name ^ " @ " ^ Ty.to_string ty
 end

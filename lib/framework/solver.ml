@@ -48,6 +48,17 @@ let pp_stats ppf s =
     s.stats_iterations s.stats_sccs s.stats_largest_scc s.stats_cache_hits
     s.stats_cache_misses s.stats_cache_invalidated s.stats_dbound s.stats_capped
 
+(* (definition, instance) keys, hashed structurally: the global hook runs
+   on every reference to a definition.  Instances are ground (every
+   instantiation defaults its variables), so [Ty.equal] is instance
+   identity. *)
+module Itbl = Hashtbl.Make (struct
+  type t = string * Ty.t
+
+  let equal (n, a) (m, b) = String.equal n m && Ty.equal a b
+  let hash (n, a) = Hashtbl.hash (n, Ty.hash a)
+end)
+
 module Make (S : Spec.S) = struct
   type entry = {
     name : string;
@@ -67,7 +78,7 @@ module Make (S : Spec.S) = struct
     prog : Infer.program;
     engine : engine;
     state : S.state;  (* this solver's private engine state *)
-    cache : (string, entry) Hashtbl.t;  (* key: [S.demand_key] *)
+    entries : entry Itbl.t;  (* (name, instance) -> entry *)
     by_sid : (int, entry) Hashtbl.t;  (* source id -> entry *)
     mutable order : entry list;  (* insertion order, newest first *)
     mutable dbound : int;
@@ -146,8 +157,7 @@ module Make (S : Spec.S) = struct
     done
 
   and demand t name ty =
-    let k = S.demand_key name ty in
-    match Hashtbl.find_opt t.cache k with
+    match Itbl.find_opt t.entries (name, ty) with
     | Some e -> e
     | None ->
         let tast = Infer.instantiate_def t.prog name (Some ty) in
@@ -167,7 +177,7 @@ module Make (S : Spec.S) = struct
             idx = -1;
           }
         in
-        Hashtbl.add t.cache k e;
+        Itbl.add t.entries (name, ty) e;
         Hashtbl.add t.by_sid (S.source_id e.source) e;
         t.order <- e :: t.order;
         t.stable <- false;
@@ -193,7 +203,7 @@ module Make (S : Spec.S) = struct
         prog;
         engine;
         state;
-        cache = Hashtbl.create 32;
+        entries = Itbl.create 32;
         by_sid = Hashtbl.create 32;
         order = [];
         dbound = 0;

@@ -86,6 +86,18 @@ let rec equal a b =
   | Var r1, Var r2 -> r1 == r2
   | (Int | Bool | List _ | Tree _ | Prod _ | Arrow _ | Var _), _ -> false
 
+(* Consistent with [equal]: equal types hash alike.  Variables all hash
+   to one bucket ([equal] tells them apart by identity). *)
+let rec hash t =
+  match repr t with
+  | Int -> 1
+  | Bool -> 2
+  | Var _ -> 3
+  | List e -> (5 * hash e) + 4
+  | Tree e -> (5 * hash e) + 5
+  | Prod (a, b) -> (31 * hash a) + (7 * hash b) + 6
+  | Arrow (a, b) -> (31 * hash a) + (7 * hash b) + 7
+
 let rec contains_var t =
   match repr t with
   | Int | Bool -> false

@@ -73,6 +73,9 @@ val equal : t -> t -> bool
 (** Structural equality up to links; unbound variables equal only
     themselves. *)
 
+val hash : t -> int
+(** A hash consistent with {!equal}, for tables keyed by type. *)
+
 val contains_var : t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -97,7 +97,7 @@ let points ~source ir =
     | m -> List.map fst m.Nml.Mono.program.Nml.Surface.defs
     | exception (Nml.Infer.Error _ | Nml.Mono.Too_many_instances) -> []
   in
-  let ir_defs, _main = split ir in
+  let ir_defs, main = split ir in
   let def_names = List.map fst ir_defs in
   (* 1. retarget an allocation site to an arena nobody declares *)
   let sites = collect arena_site ir in
@@ -382,7 +382,71 @@ let points ~source ir =
           (offsets (call_site g arity)))
       redirect_targets
   in
-  retargets @ unwraps @ flips @ injections @ redirects
+  (* 6. redirect a call in the main expression to its destructive
+     variant where the consumed argument is (a suffix of) a let-bound
+     spine whose occurrences in the let's body overlap — directly, or
+     through the let sugar inside the argument: the consumed cells are
+     shared *)
+  let rec shared_spine shared e =
+    match e with
+    | Ir.Var v -> List.assoc_opt v shared = Some true
+    | Ir.App (Ir.Prim (A.Cdr | A.Left | A.Right), e') -> shared_spine shared e'
+    | Ir.App (Ir.Lam (v, b), rhs) -> shared_spine (bind_let shared v b rhs) b
+    | _ -> false
+  and bind_let shared x b rhs =
+    (x, (not (Fresh.let_disjoint x b)) || shared_spine shared rhs) :: shared
+  in
+  (* the qualifying call sites of [g] in [main], as physical nodes *)
+  let shared_sites (g, arity, argix) =
+    let acc = ref [] in
+    let rec go shared e =
+      (match call_site g arity e with
+      | Some args when shared_spine shared (List.nth args argix) -> acc := e :: !acc
+      | _ -> ());
+      match e with
+      | Ir.App (Ir.Lam (x, b), rhs) ->
+          go shared rhs;
+          go (bind_let shared x b rhs) b
+      | Ir.App (f, a) ->
+          go shared f;
+          go shared a
+      | Ir.Lam (x, b) -> go ((x, false) :: shared) b
+      | Ir.If (c, t, f) -> List.iter (go shared) [ c; t; f ]
+      | Ir.Letrec (bs, b) ->
+          let shared = List.map (fun (x, _) -> (x, false)) bs @ shared in
+          List.iter (fun (_, r) -> go shared r) bs;
+          go shared b
+      | Ir.WithArena (_, _, b) -> go shared b
+      | _ -> ()
+    in
+    go [] main;
+    !acc
+  in
+  let main_redirects =
+    List.concat_map
+      (fun ((g, arity, _) as target) ->
+        let sites = shared_sites target in
+        let redirect e =
+          if List.memq e sites then
+            Option.map
+              (List.fold_left (fun f a -> Ir.App (f, a)) (Ir.Var (g ^ "'")))
+              (call_site g arity e)
+          else None
+        in
+        List.mapi
+          (fun k _ ->
+            {
+              label =
+                Printf.sprintf
+                  "redirect: call %d of %s on a shared let spine in the main \
+                   expression goes to %s'"
+                  k g g;
+              mutant = lazy (rewrite_nth redirect k ir);
+            })
+          (collect redirect ir))
+      redirect_targets
+  in
+  retargets @ unwraps @ flips @ injections @ redirects @ main_redirects
 
 let campaign ?(seed = 0) ~count ~source ir =
   let pts = points ~source ir in

@@ -4,9 +4,12 @@
     edit of an annotated program: retargeting an allocation site to an
     arena nobody opens, removing an arena delimiter that sites still
     target, flipping a destructive site's source to an unguarded
-    parameter, or injecting a destructive site into a definition the
-    optimizer did not claim.  Each mutant must make {!Verify.audit}
-    report at least one finding — a surviving mutant is a verifier bug.
+    parameter, injecting a destructive site into a definition the
+    optimizer did not claim, or redirecting a call to its destructive
+    variant where the consumed argument is a projection of a parameter
+    or a let-bound spine whose occurrences overlap.  Each mutant must
+    make {!Verify.audit} report at least one finding — a surviving
+    mutant is a verifier bug.
 
     Enumeration is deterministic (pre-order site numbering), and a
     campaign draws points with a seeded PRNG so runs are reproducible. *)

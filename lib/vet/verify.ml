@@ -9,85 +9,6 @@ type summary = { audited : int; findings : int }
 
 let split = function Ir.Letrec (ds, m) -> (ds, m) | e -> ([], e)
 
-(* ---- occurrence paths ------------------------------------------------------
-
-   The same projection-path discipline as the paper's linearity argument:
-   an occurrence's path is the chain of projections immediately wrapping
-   it, innermost first; a destroyed cdr/left/right-suffix conflicts with
-   any later occurrence whose path is prefix-related to it.
-
-   Occurrences come in two kinds.  A [`Struct] occurrence reads the
-   whole structure reachable from its path; a [`Cell] occurrence — the
-   source of a destructive site — reads exactly one cell.  Destroying
-   the suffix at path [pi] leaves every cell {e above} [pi] intact, so a
-   later [`Cell] read at [sigma] only conflicts when [sigma] lies inside
-   the destroyed suffix ([is_prefix pi sigma]); this is what licenses
-   the paper's [REV']: [rev' (cdr l)] destroys [l]'s suffix while the
-   following [DCONS l ...] recycles only [l]'s own cell. *)
-
-let occs_of watched e =
-  let out = ref [] in
-  let rec go watched ctx e =
-    if watched = [] then ()
-    else
-      match e with
-      | Ir.Var v -> if List.mem v watched then out := (v, ctx, `Struct) :: !out
-      | Ir.App (Ir.App (Ir.App (Ir.Dcons, src), h), t) ->
-          cell watched ctx src;
-          go watched [] h;
-          go watched [] t
-      | Ir.App (Ir.App (Ir.App (Ir.App (Ir.Dnode, src), l), x), r) ->
-          cell watched ctx src;
-          go watched [] l;
-          go watched [] x;
-          go watched [] r
-      | Ir.App (Ir.Prim ((A.Car | A.Cdr | A.Label | A.Left | A.Right) as p), e')
-        ->
-          go watched (p :: ctx) e'
-      | Ir.App (f, a) ->
-          go watched [] f;
-          go watched [] a
-      | Ir.Lam (x, b) -> go (List.filter (fun w -> w <> x) watched) [] b
-      | Ir.If (c, t, f) ->
-          go watched [] c;
-          go watched [] t;
-          go watched [] f
-      | Ir.Letrec (bs, b) ->
-          let watched =
-            List.filter (fun w -> not (List.mem_assoc w bs)) watched
-          in
-          List.iter (fun (_, r) -> go watched [] r) bs;
-          go watched [] b
-      | Ir.WithArena (_, _, b) -> go watched ctx b
-      | Ir.Const _ | Ir.Prim _ | Ir.ConsAt _ | Ir.NodeAt _ | Ir.Dcons | Ir.Dnode
-        ->
-          ()
-  and cell watched ctx e =
-    match e with
-    | Ir.Var v -> if List.mem v watched then out := (v, ctx, `Cell) :: !out
-    | Ir.App (Ir.Prim ((A.Car | A.Cdr | A.Label | A.Left | A.Right) as p), e')
-      ->
-        cell watched (p :: ctx) e'
-    | e -> go watched [] e
-  in
-  go watched [] e;
-  !out
-
-let rec is_prefix p q =
-  match (p, q) with
-  | [], _ -> true
-  | _, [] -> false
-  | a :: p', b :: q' -> a = b && is_prefix p' q'
-
-let overlap p q = is_prefix p q || is_prefix q p
-
-let pairwise_disjoint paths =
-  let rec check = function
-    | [] -> true
-    | p :: rest -> List.for_all (fun q -> not (overlap p q)) rest && check rest
-  in
-  check paths
-
 let rec suffix_of p e =
   match e with
   | Ir.Var v when String.equal v p -> Some []
@@ -258,7 +179,7 @@ let watched fr =
       if List.mem c.param fr.shadow then None else Some c.param)
     fr.claimed
 
-let occs fr e = occs_of (watched fr) e
+let occs fr e = Fresh.occs_of (watched fr) e
 
 let bind fr x =
   {
@@ -339,8 +260,8 @@ let destructive_call ctx fr g args ~after =
                       String.equal v p
                       &&
                       match kind with
-                      | `Struct -> overlap pi path
-                      | `Cell -> is_prefix pi path)
+                      | `Struct -> Fresh.overlap pi path
+                      | `Cell -> Fresh.is_prefix pi path)
                     after
                 then
                   ctx.add
@@ -440,13 +361,7 @@ let rec walk ctx fr e ~after =
   | Ir.App (Ir.Lam (x, b), rhs) ->
       (* let sugar: rhs first, then the body with x bound *)
       walk ctx fr rhs ~after:(occs fr (Ir.Lam (x, b)) @ after);
-      let d =
-        if
-          pairwise_disjoint
-            (List.map (fun (_, path, _) -> path) (occs_of [ x ] b))
-        then fresh_of ctx fr rhs
-        else 0
-      in
+      let d = if Fresh.let_disjoint x b then fresh_of ctx fr rhs else 0 in
       let frb = bind fr x in
       walk ctx { frb with env = (x, d) :: frb.env } b ~after
   | Ir.App _ -> (

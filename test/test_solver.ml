@@ -2,8 +2,12 @@
    schedules with, differential agreement with the retained round-robin
    baseline (fixed programs, the paper's appendix values and a random
    corpus), isolation of concurrently live solvers (every solver owns a
-   private Dvalue.state, including across domains), and the efficiency
-   claim the engine exists for — strictly fewer entry evaluations. *)
+   private Dvalue.state, including across domains), the efficiency
+   claim the engine exists for — strictly fewer entry evaluations — and
+   the cost of the application engine: per-example evaluation counts
+   pinned to the goldens, bounds on application misses, and agreement
+   of every cell of a tabulated first-order value with the enumeration
+   engine's table. *)
 
 module B = Escape.Besc
 module D = Escape.Dvalue
@@ -234,6 +238,16 @@ let efficiency_units =
         checkb
           (Printf.sprintf "strictly fewer evaluations (%d < %d)" wl rr)
           true (wl < rr));
+    Alcotest.test_case "swapped-arguments-converge-uncapped" `Quick (fun () ->
+        (* memo entries completed against a pending application's
+           approximation are stale once it grows; before they were kept,
+           and this recursion ran to the iteration cap (601 evaluations) *)
+        let t =
+          Fix.of_source (Examples.wrap [ "f l a = if null l then l else f a (cdr l)" ] "0")
+        in
+        ignore (Fix.value t "f" None);
+        checkb "not capped" false (Fix.capped t);
+        checki "evaluations" 2 (Fix.evaluations t));
     Alcotest.test_case "non-recursive-entries-evaluated-once" `Quick (fun () ->
         let t = Fix.of_source ~engine:Fix.Worklist (wide_chain 6) in
         ignore (Fix.value t "w5" None);
@@ -245,6 +259,154 @@ let efficiency_units =
         checki "largest scc" 1 s.Fix.stats_largest_scc);
   ]
 
+(* ---- application engine: the cost of structural identity ------------------ *)
+
+let read_file path = In_channel.with_open_text path In_channel.input_all
+
+(* under [dune runtest] the cwd is the test directory; under [dune exec]
+   from the project root it is the root *)
+let golden_dir = if Sys.file_exists "golden" then "golden" else "test/golden"
+
+let examples_dir =
+  let local = Filename.concat (Filename.concat ".." "examples") "programs" in
+  if Sys.file_exists local then local else Filename.concat "examples" "programs"
+
+(* The solver behind a shipped example after the queries its report
+   makes: what the golden [.stats] capture counts. *)
+let reported_stats base =
+  let src = read_file (Filename.concat examples_dir (base ^ ".nml")) in
+  let t = Fix.make (infer src) in
+  ignore (Format.asprintf "%a" Escape.Report.program t);
+  Fix.stats t
+
+let golden_count base label =
+  let prefix = label ^ " " in
+  let text = read_file (Filename.concat golden_dir (base ^ ".stats")) in
+  match
+    List.find_opt
+      (fun l -> String.starts_with ~prefix l)
+      (String.split_on_char '\n' text)
+  with
+  | Some l ->
+      let n = String.length prefix in
+      int_of_string (String.trim (String.sub l n (String.length l - n)))
+  | None -> Alcotest.failf "%s.stats has no %S line" base label
+
+(* Upper bounds on application misses (cell and memo fills) per shipped
+   example: about twice the count measured when values got structural
+   identity.  Before, every body evaluation rebuilt its primitives and
+   curried stages under fresh ids (partition_sort: 40843 misses, now
+   787). *)
+let miss_bounds =
+  [
+    ("branch_reuse", 120);
+    ("bst", 160);
+    ("calculator", 460);
+    ("letspine_reuse", 120);
+    ("map_pair", 240);
+    ("partition_sort", 1600);
+    ("reverse", 100);
+    ("stitch_reuse", 120);
+    ("zip_assoc", 1400);
+  ]
+
+(* Random first-order programs with two-argument definitions: [f] over
+   two int lists (accumulating, swapping and dropping its arguments in
+   recursive calls), [g], which calls [f], and [h] over an int list list
+   (so the chain bound is 2). *)
+let gen_first_order =
+  let open QCheck.Gen in
+  let leaves =
+    [
+      "nil"; "l"; "a"; "(cdr l)"; "(f (cdr l) a)"; "(f (cdr l) (cons (car l) a))";
+      "(f a (cdr l))";
+    ]
+  in
+  let rec list n =
+    if n <= 1 then oneofl leaves
+    else
+      frequency
+        [
+          (1, oneofl leaves);
+          ( 2,
+            let* hd = Gen.gen_int (n / 3) in
+            let* tl = list (n / 2) in
+            return (Printf.sprintf "(cons %s %s)" hd tl) );
+          ( 1,
+            let* c = Gen.gen_bool (n / 3) in
+            let* a = list (n / 3) in
+            let* b = list (n / 3) in
+            return (Printf.sprintf "(if %s then %s else %s)" c a b) );
+        ]
+  in
+  let* base = oneofl [ "nil"; "l"; "a"; "(cons 1 a)" ] in
+  let* step = list 12 in
+  let* gbody =
+    oneofl [ "f x x"; "f (cdr x) (cons 1 x)"; "f nil x"; "cons (car x) (f x nil)" ]
+  in
+  let* hstep =
+    oneofl
+      [
+        "cons (f (car m) k) (h (cdr m) k)";
+        "h (cdr m) (f k (car m))";
+        "cons k (h (cdr m) (car m))";
+        "if null (car m) then m else h (cdr m) k";
+      ]
+  in
+  return
+    (Examples.wrap
+       [
+         Printf.sprintf "f l a = if null l then %s else %s" base step;
+         "g x = " ^ gbody;
+         "h m k = if null m then nil else " ^ hstep;
+       ]
+       "0")
+
+let rec tuples n escs =
+  if n = 0 then [ [] ]
+  else List.concat_map (fun b -> List.map (fun t -> b :: t) (tuples (n - 1) escs)) escs
+
+(* Every cell of every definition's settled value equals the enumerated
+   table entry at the same arguments. *)
+let cells_match_enumeration src =
+  let e = Escape.Enumerate.of_source src in
+  let t = Fix.of_source src in
+  List.for_all
+    (fun (name, _) ->
+      let ty = Fix.instance_ty t name in
+      let n = Ty.arity ty in
+      let v = Fix.value t name (Some ty) in
+      Fix.with_state t (fun () ->
+          Option.is_some v.D.tab
+          && List.for_all
+               (fun key ->
+                 let args =
+                   List.map2 (fun aty esc -> D.base ~ty:aty esc) (Ty.arg_tys ty n) key
+                 in
+                 B.equal (D.apply_all v args).D.esc (Escape.Enumerate.lookup e name key))
+               (tuples n (B.all ~d:(Escape.Enumerate.d e)))))
+    (infer src).Nml.Infer.schemes
+
+let engine_cost_units =
+  List.concat_map
+    (fun (base, bound) ->
+      [
+        Alcotest.test_case ("evaluations-match-golden-" ^ base) `Quick (fun () ->
+            checki "entry evaluations" (golden_count base "entry evaluations")
+              (reported_stats base).Fix.stats_evaluations);
+        Alcotest.test_case ("application-misses-bounded-" ^ base) `Quick (fun () ->
+            let misses = (reported_stats base).Fix.stats_cache_misses in
+            checkb (Printf.sprintf "%d misses <= %d" misses bound) true (misses <= bound));
+      ])
+    miss_bounds
+  @ [
+      QCheck_alcotest.to_alcotest
+        ~rand:(Random.State.make [| 20261017 |])
+        (QCheck.Test.make ~count:300 ~name:"tabulated-cells-equal-enumeration"
+           (QCheck.make gen_first_order ~print:Fun.id)
+           cells_match_enumeration);
+    ]
+
 let () =
   Alcotest.run "solver"
     [
@@ -253,4 +415,5 @@ let () =
       ("appendix", appendix_units);
       ("isolation", isolation_units);
       ("efficiency", efficiency_units);
+      ("engine-cost", engine_cost_units);
     ]

@@ -249,6 +249,101 @@ let loc_tests =
               (List.exists (fun d -> not (Nml.Loc.is_dummy d.D.loc)) ds));
   ]
 
+(* ---- a let in argument position ------------------------------------------- *)
+
+let let_defs =
+  "letrec filter p l = if null l then nil else if p (car l) then cons (car l) \
+   (filter p (cdr l)) else filter p (cdr l); zip a b = if null a then nil else \
+   if null b then nil else cons (mkpair (car a) (car b)) (zip (cdr a) (cdr b)); \
+   fsts l = if null l then nil else cons (fst (car l)) (fsts (cdr l)) in "
+
+let let_tests =
+  [
+    Alcotest.test_case "let-freshness-needs-disjoint-occurrences" `Quick (fun () ->
+        (* [let v = [1, 2] in body]: v inherits the literal's one fresh
+           spine only where its occurrences cannot share it *)
+        let t = Escape.Fixpoint.of_source copy_src in
+        let depth e = Vet.Fresh.depth t ~defs:[] [] e in
+        let let_v body = Ir.App (Ir.Lam ("v", body), cons (int 1) (cons (int 2) nil)) in
+        checki "one occurrence: both spines fresh" 2
+          (depth (let_v (cons (Ir.Var "v") nil)));
+        checki "two occurrences: the inner spine is shared" 1
+          (depth (let_v (cons (Ir.Var "v") (cons (Ir.Var "v") nil))));
+        let proj p = Ir.App (Ir.Prim p, Ir.Var "v") in
+        checki "disjoint projections: v keeps the literal's fresh spine" 1
+          (depth (let_v (cons (proj A.Car) (proj A.Cdr))));
+        checki "a projection and the whole: v is not fresh" 0
+          (depth (let_v (cons (proj A.Car) (Ir.Var "v")))));
+    Alcotest.test_case "fresh-let-argument-audits-clean" `Quick (fun () ->
+        (* fsts builds a fresh list even though v is read twice: the
+           destructive filter' on it is sound and must vet clean *)
+        let src =
+          let_defs ^ "filter (fun x -> x < 15) (let v = [1, 2] in fsts (zip v v))"
+        in
+        let s, ir = optimize src in
+        let ds, _ = V.audit ~source:s ir in
+        checkb ("clean, got: " ^ codes ds) true (ds = []);
+        checkb "the call is destructive" true
+          (match ir with
+          | Ir.Letrec (_, Ir.App (Ir.App (Ir.Var "filter'", _), Ir.App (Ir.Lam _, _)))
+            ->
+              true
+          | _ -> false));
+    Alcotest.test_case "shared-let-argument-redirect-is-VET015" `Quick (fun () ->
+        (* w is read again after the call: consuming its spine is unsound,
+           the optimizer keeps the copying filter, and the mutant that
+           makes the call destructive is a VET015 *)
+        let src =
+          let_defs ^ "let w = [1, 2] in zip (filter (fun x -> x < 15) (let v = w in v)) w"
+        in
+        let s, ir = optimize src in
+        checkb "optimizer output clean" true (fst (V.audit ~source:s ir) = []);
+        match
+          List.find_opt
+            (fun p ->
+              String.starts_with ~prefix:"redirect: call 0 of filter on a shared let spine"
+                p.M.label)
+            (M.points ~source:s ir)
+        with
+        | None -> Alcotest.fail "no redirect point on the shared let spine"
+        | Some p ->
+            let ds, _ = V.audit ~source:s (Lazy.force p.M.mutant) in
+            checkb ("VET015 in: " ^ codes ds) true (has_code "VET015" ds));
+    Alcotest.test_case "disjoint-let-projections-give-no-redirect" `Quick (fun () ->
+        (* the main call consumes [cdr v] and the body reads only [car v]
+           again: the paths are disjoint, so the destructive call the
+           optimizer emits is sound.  With that call put back to the
+           copying filter, the family must not offer the redirect as a
+           mutant — it would survive as a false verifier bug *)
+        let src =
+          let_defs
+          ^ "let v = [1, 2] in zip (filter (fun x -> x < 15) (cdr v)) (cons (car v) nil)"
+        in
+        let s, ir = optimize src in
+        let rec copying = function
+          | Ir.Var "filter'" -> Ir.Var "filter"
+          | Ir.App (f, a) -> Ir.App (copying f, copying a)
+          | Ir.Lam (x, b) -> Ir.Lam (x, copying b)
+          | Ir.If (c, t, f) -> Ir.If (copying c, copying t, copying f)
+          | e -> e
+        in
+        let ir =
+          match ir with
+          | Ir.Letrec (ds, main) -> Ir.Letrec (ds, copying main)
+          | _ -> Alcotest.fail "no definitions"
+        in
+        checkb "copying main vets clean" true (fst (V.audit ~source:s ir) = []);
+        let pts = M.points ~source:s ir in
+        checkb "filter' is defined: filter is a redirect target" true
+          (match ir with Ir.Letrec (ds, _) -> List.mem_assoc "filter'" ds | _ -> false);
+        checkb "no redirect point on a let spine" false
+          (List.exists
+             (fun p ->
+               String.starts_with ~prefix:"redirect: call 0 of filter on a shared let spine"
+                 p.M.label)
+             pts));
+  ]
+
 let () =
   Alcotest.run "vet"
     [
@@ -258,4 +353,5 @@ let () =
       ("findings", unit_tests);
       ("hints", hint_tests);
       ("locations", loc_tests);
+      ("let-argument", let_tests);
     ]
