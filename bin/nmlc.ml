@@ -105,11 +105,22 @@ let handle ?(format = Nml.Diagnostic.Human) f =
 
 (* ---- common arguments and plumbing ----------------------------------------- *)
 
-(* One source-taking subcommand body = one [with_source] call: input
+(* One source-taking subcommand body = one [with_unit] call: input
    resolution, the toolchain exception regime and the 0/1/2/3/124 exit
-   mapping live in exactly one place. *)
-let with_source ?format file inline k =
-  handle ?format (fun () -> k (surface_of file inline))
+   mapping live in exactly one place.  The body gets one compilation
+   unit and demands the stages it needs from it; parsing happens here,
+   so a syntax error is reported before anything else.  With
+   NMLC_STAGE_COUNTS set, a successful body reports on stderr how often
+   each unit stage ran. *)
+let with_unit ?format ?engine file inline k =
+  handle ?format (fun () ->
+      let u = Pipeline.of_surface ?engine (surface_of file inline) in
+      k u;
+      if Sys.getenv_opt "NMLC_STAGE_COUNTS" <> None then
+        Format.eprintf "stages: %a@." Pipeline.pp_counts (Pipeline.counts u))
+
+(* scope and type checking: the stage no subcommand past [parse] skips *)
+let typed u = Pipeline.typed u Pipeline.Source
 
 let format_conv =
   Arg.enum
@@ -134,15 +145,16 @@ let inline_arg =
 
 let parse_cmd =
   let run file inline =
-    with_source file inline (fun s -> Format.printf "%a@." Nml.Surface.pp s)
+    with_unit file inline (fun u ->
+        Format.printf "%a@." Nml.Surface.pp (Pipeline.surface u))
   in
   Cmd.v (Cmd.info "parse" ~doc:"Parse and pretty-print a program")
     Term.(const run $ file_arg $ inline_arg)
 
 let typecheck_cmd =
   let run file inline =
-    with_source file inline (fun s ->
-        let prog = Nml.Infer.infer_program s in
+    with_unit file inline (fun u ->
+        let prog = typed u in
         List.iter
           (fun (name, s) ->
             Format.printf "%s : %a@." name Nml.Infer.pp_scheme s)
@@ -154,8 +166,9 @@ let typecheck_cmd =
 
 let eval_cmd =
   let run file inline fuel =
-    with_source file inline (fun s ->
-        let v = Nml.Eval.run ?fuel s in
+    with_unit file inline (fun u ->
+        ignore (typed u);
+        let v = Nml.Eval.run ?fuel (Pipeline.surface u) in
         Format.printf "%a@." Nml.Eval.pp_value v)
   in
   let fuel =
@@ -191,17 +204,14 @@ let stats_json stats =
    program on a generational heap with a bounded step budget and report
    the heap counters.  Deterministic — the machine is exact and the pause
    rows are the cells-touched percentiles, never wall-clock. *)
-let heap_row_of surface =
+let heap_row_of u =
   let options =
     { Optimize.Transform.all with Optimize.Transform.pretenure = true }
   in
-  let ir = (Optimize.Transform.optimize ~options surface).Optimize.Transform.ir in
+  let ir = (Optimize.Transform.optimize_unit ~options u).Optimize.Transform.ir in
   (* the same advisory dead-spine hints a [run --policy generational]
      computes, so the hint-acceptance counters show up here too *)
-  let liveness_hints =
-    let t = Framework.Spinelive.Solver.make (Nml.Infer.infer_program surface) in
-    Framework.Spinelive.dead_spine_params t
-  in
+  let liveness_hints = Pipeline.hints u in
   let config =
     { Runtime.Heap.generational with Runtime.Heap.liveness_hints }
   in
@@ -230,16 +240,17 @@ let list_analyses () =
 
 let analyze_cmd =
   let run_escape file inline func enumerate local engine show_stats json =
-    with_source file inline (fun s ->
+    with_unit ~engine file inline (fun u ->
+        let s = Pipeline.surface u in
         if json then begin
           if enumerate then
             failwith "--json reports the fixpoint solver, not --enumerate";
-          let t = Escape.Fixpoint.make ~engine (Nml.Infer.infer_program s) in
+          let t = Pipeline.escape u Pipeline.Source in
           (* drive the same queries the report makes, then emit the counters *)
           ignore (Format.asprintf "%a" Escape.Report.program t);
           let module J = Nml.Json in
           let heap =
-            match heap_row_of s with
+            match heap_row_of u with
             | Ok row -> J.Obj (List.map (fun (k, v) -> (k, J.int v)) row)
             | Error reason -> J.Obj [ ("skipped", J.Str reason) ]
           in
@@ -251,10 +262,10 @@ let analyze_cmd =
           print_string (J.to_string (J.Obj (solver @ [ ("heap", heap) ])))
         end
         else if enumerate then begin
-          let e = Escape.Enumerate.solve (Nml.Infer.infer_program s) in
+          let prog = typed u in
+          let e = Escape.Enumerate.solve prog in
           List.iter
             (fun (name, _) ->
-              let prog = Nml.Infer.infer_program s in
               let inst = Nml.Infer.simplest_instance prog name in
               let n = Nml.Ty.arity inst in
               Format.printf "%s : %s@." name (Nml.Ty.to_string inst);
@@ -267,7 +278,7 @@ let analyze_cmd =
             (Escape.Enumerate.iterations e)
         end
         else begin
-          let t = Escape.Fixpoint.make ~engine (Nml.Infer.infer_program s) in
+          let t = Pipeline.escape u Pipeline.Source in
           (match func with
           | Some f -> Format.printf "%a@." (fun ppf () -> Escape.Report.definition ppf t f) ()
           | None -> Format.printf "%a@." Escape.Report.program t);
@@ -292,7 +303,7 @@ let analyze_cmd =
           if show_stats then begin
             Format.printf "-- solver --@.%a@." Escape.Fixpoint.pp_stats
               (Escape.Fixpoint.stats t);
-            match heap_row_of s with
+            match heap_row_of u with
             | Ok row ->
                 Format.printf "-- storage (generational heap) --@.%a@."
                   (Format.pp_print_list ~pp_sep:Format.pp_print_newline
@@ -312,7 +323,7 @@ let analyze_cmd =
     else if String.equal analysis "escape" then
       run_escape file inline func enumerate local engine show_stats json
     else
-      with_source file inline (fun s ->
+      with_unit file inline (fun u ->
           let e =
             match Analyses.Registry.find analysis with
             | Some e -> e
@@ -322,7 +333,7 @@ let analyze_cmd =
           in
           if enumerate || local || json || func <> None then
             failwith "--enumerate/--local/--json/-f apply to the escape analysis only";
-          let o = e.Analyses.Registry.run (Nml.Infer.infer_program s) in
+          let o = e.Analyses.Registry.run (typed u) in
           print_string o.Analyses.Registry.output;
           if show_stats then
             Format.printf
@@ -585,6 +596,15 @@ let batch_cmd =
              cache")
     Term.(const run $ paths $ jobs $ cache_dir $ no_cache $ lint $ format $ analysis)
 
+(* the optimizer verdicts [check] and [vet] can deliberately break *)
+let oracle_fault =
+  Arg.enum
+    [
+      ("none", Check.Harness.No_fault);
+      ("arena", Check.Harness.Widen_arena);
+      ("dcons", Check.Harness.Misuse_dcons);
+    ]
+
 let options_term =
   let no_mono =
     Arg.(value & flag & info [ "no-mono" ] ~doc:"Do not monomorphize first.")
@@ -625,8 +645,8 @@ let options_term =
 
 let mono_cmd =
   let run file inline =
-    with_source file inline (fun s ->
-        let r = Nml.Mono.run s in
+    with_unit file inline (fun u ->
+        let r = Pipeline.mono u in
         Format.printf "%a@.@." Nml.Surface.pp r.Nml.Mono.program;
         List.iter
           (fun (d, n, i) ->
@@ -639,8 +659,8 @@ let mono_cmd =
 
 let optimize_cmd =
   let run file inline options =
-    with_source file inline (fun s ->
-        let r = Optimize.Transform.optimize ~options s in
+    with_unit file inline (fun u ->
+        let r = Optimize.Transform.optimize_unit ~options u in
         Format.printf "%a@." Optimize.Transform.pp_report r;
         Format.printf "%a@." Runtime.Ir.pp r.Optimize.Transform.ir)
   in
@@ -651,7 +671,8 @@ let optimize_cmd =
 let run_cmd =
   let run file inline options optimized heap_size no_grow check compare fuel policy
       nursery no_regions no_pretenure backend =
-    with_source file inline (fun s ->
+    with_unit file inline (fun u ->
+        ignore (typed u);
         let base =
           match policy with
           | `Legacy -> Runtime.Heap.legacy
@@ -664,9 +685,7 @@ let run_cmd =
         let liveness_hints =
           match policy with
           | `Legacy -> []
-          | `Generational ->
-              let t = Framework.Spinelive.Solver.make (Nml.Infer.infer_program s) in
-              Framework.Spinelive.dead_spine_params t
+          | `Generational -> Pipeline.hints u
         in
         let config =
           {
@@ -708,8 +727,10 @@ let run_cmd =
           Format.printf "%s result: %a@." label Nml.Eval.pp_value v;
           Format.printf "%a@." Runtime.Stats.pp stats
         in
-        let baseline () = exec (Runtime.Ir.of_program s) in
-        let opt () = exec (Optimize.Transform.optimize ~options s).Optimize.Transform.ir in
+        let baseline () = exec (Runtime.Ir.of_program (Pipeline.surface u)) in
+        let opt () =
+          exec (Optimize.Transform.optimize_unit ~options u).Optimize.Transform.ir
+        in
         if compare then begin
           show "baseline" (baseline ());
           show "optimized" (opt ())
@@ -791,11 +812,12 @@ let run_cmd =
 
 let compile_cmd =
   let run file inline options optimized dump_anf dump_bytecode =
-    with_source file inline (fun s ->
+    with_unit file inline (fun u ->
+        ignore (typed u);
         let ir =
           if optimized then
-            (Optimize.Transform.optimize ~options s).Optimize.Transform.ir
-          else Runtime.Ir.of_program s
+            (Optimize.Transform.optimize_unit ~options u).Optimize.Transform.ir
+          else Runtime.Ir.of_program (Pipeline.surface u)
         in
         if dump_anf then begin
           let a = Backend.Anf.lower ir in
@@ -843,12 +865,14 @@ let check_cmd =
     handle (fun () ->
         let count = max 0 count in
         let cfg = { Check.Harness.heap; fuel; chaos; seed; fault } in
-        let corpus =
-          Check.Harness.builtin_corpus
-          @ List.map
-              (fun f -> (f, In_channel.with_open_text f In_channel.input_all))
-              files
+        let read f =
+          let src = In_channel.with_open_text f In_channel.input_all in
+          (* the oracle skips what it cannot type; a file the user named
+             gets its diagnosis instead *)
+          ignore (typed (Pipeline.of_string ~file:f src));
+          (f, src)
         in
+        let corpus = Check.Harness.builtin_corpus @ List.map read files in
         let report kind = function
           | Ok { Check.Harness.checked; passed; skipped } ->
               Format.printf "%s: %d checked, %d ok, %d skipped@." kind checked passed
@@ -900,14 +924,7 @@ let check_cmd =
   let fault =
     Arg.(
       value
-      & opt
-          (enum
-             [
-               ("none", Check.Harness.No_fault);
-               ("arena", Check.Harness.Widen_arena);
-               ("dcons", Check.Harness.Misuse_dcons);
-             ])
-          Check.Harness.No_fault
+      & opt oracle_fault Check.Harness.No_fault
       & info [ "inject-fault" ] ~docv:"KIND"
           ~doc:"Deliberately break one optimizer verdict (arena: widen a stack/block \
                 verdict; dcons: misuse a reuse verdict) to demonstrate that the \
@@ -926,19 +943,20 @@ let check_cmd =
 
 let vet_cmd =
   let run file inline options format mutate seed fault =
-    with_source ~format file inline (fun s ->
+    with_unit ~format file inline (fun u ->
+        ignore (typed u);
         let ir =
           match fault with
           | Check.Harness.No_fault ->
-              (Optimize.Transform.optimize ~options s).Optimize.Transform.ir
+              (Optimize.Transform.optimize_unit ~options u).Optimize.Transform.ir
           | f -> (
-              match Check.Harness.sabotage f s with
+              match Check.Harness.sabotage f (Pipeline.surface u) with
               | Some ir -> ir
               | None -> failwith "the requested fault does not apply to this program")
         in
         match mutate with
         | Some count ->
-            let o = Vet.Mutate.campaign ~seed ~count ~source:s ir in
+            let o = Vet.Mutate.campaign ~seed ~count u ir in
             if o.Vet.Mutate.points = 0 then
               Format.printf "vet: no mutation points in this program@."
             else begin
@@ -952,24 +970,9 @@ let vet_cmd =
               if o.Vet.Mutate.detected < o.Vet.Mutate.draws then raise Findings
             end
         | None -> (
-            (* the same advisory dead-spine hints a [run --policy
-               generational] would hand the heap — audited here instead
-               of trusted *)
-            let hints =
-              match
-                Framework.Spinelive.Solver.make (Nml.Infer.infer_program s)
-              with
-              | t -> Framework.Spinelive.dead_spine_params t
-              | exception _ -> []
-            in
-            let ds, summary = Vet.Verify.audit ~hints ~source:s ir in
-            match format with
-            | Nml.Diagnostic.Human ->
-                if ds <> [] then
-                  Format.printf "%a@." (Nml.Diagnostic.render Nml.Diagnostic.Human) ds;
-                Format.printf "vet: %d annotation(s) audited, %d finding(s)@."
-                  summary.Vet.Verify.audited summary.Vet.Verify.findings;
-                if summary.Vet.Verify.findings > 0 then raise Findings
+            let ((ds, summary) as audit) = Serve.Handler.audit u ir in
+            (match format with
+            | Nml.Diagnostic.Human -> print_string (Serve.Handler.render_audit audit)
             | Nml.Diagnostic.Json ->
                 let module J = Nml.Json in
                 print_string
@@ -981,11 +984,10 @@ let vet_cmd =
                           ("findings", J.int summary.Vet.Verify.findings);
                           ( "diagnostics",
                             J.Arr (List.map Nml.Diagnostic.to_json ds) );
-                        ]));
-                if summary.Vet.Verify.findings > 0 then raise Findings
+                        ]))
             | Nml.Diagnostic.Sarif ->
-                print_string (Nml.Json.to_string (Nml.Diagnostic.to_sarif ds));
-                if summary.Vet.Verify.findings > 0 then raise Findings))
+                print_string (Nml.Json.to_string (Nml.Diagnostic.to_sarif ds)));
+            if summary.Vet.Verify.findings > 0 then raise Findings))
   in
   let format =
     format_arg
@@ -1007,14 +1009,7 @@ let vet_cmd =
   let fault =
     Arg.(
       value
-      & opt
-          (enum
-             [
-               ("none", Check.Harness.No_fault);
-               ("arena", Check.Harness.Widen_arena);
-               ("dcons", Check.Harness.Misuse_dcons);
-             ])
-          Check.Harness.No_fault
+      & opt oracle_fault Check.Harness.No_fault
       & info [ "inject-fault" ] ~docv:"KIND"
           ~doc:"Vet a deliberately broken annotation (arena: widen a stack/block \
                 verdict; dcons: misuse a reuse verdict) instead of the optimizer's \

@@ -205,15 +205,17 @@ let sabotage fault surface =
 
 (* ---- the per-program oracle ------------------------------------------------ *)
 
-(* stage name, IR, heap capacity, growth, chaos, heap configuration *)
-let machine_stages cfg surface =
+(* stage name, IR, heap capacity, growth, chaos, heap configuration; both
+   optimized programs come from one unit, so they share its solve *)
+let machine_stages cfg unit =
+  let surface = Pipeline.surface unit in
   let baseline = Ir.of_program surface in
-  let optimized = (Optimize.Transform.optimize surface).Optimize.Transform.ir in
+  let optimized = (Optimize.Transform.optimize_unit unit).Optimize.Transform.ir in
   let pretenured =
     let options =
       { Optimize.Transform.all with Optimize.Transform.pretenure = true }
     in
-    (Optimize.Transform.optimize ~options surface).Optimize.Transform.ir
+    (Optimize.Transform.optimize_unit ~options unit).Optimize.Transform.ir
   in
   let chaos = chaos_of cfg in
   let tiny = max 2 cfg.heap in
@@ -275,7 +277,8 @@ let check_src cfg src =
   match Nml.Surface.of_string src with
   | exception _ -> Skip "unparseable"
   | surface -> (
-      match Nml.Infer.infer_program surface with
+      let unit = Pipeline.of_surface surface in
+      match Pipeline.typed unit Pipeline.Source with
       | exception _ -> Skip "ill-typed"
       | _ -> (
           match run_reference cfg surface with
@@ -286,7 +289,7 @@ let check_src cfg src =
               Skip "the result is a function"
           | reference -> (
               let expected = outcome_to_string reference in
-              match machine_stages cfg surface with
+              match machine_stages cfg unit with
               | exception e ->
                   Fail { stage = "transform"; expected; got = Printexc.to_string e }
               | stages ->

@@ -104,19 +104,10 @@ let run_rules_program ctx =
   List.concat_map (fun r -> r.Rule.check_program ctx) Registry.all
 
 let run ?(config = Registry.default) ?store ?(fault = Rule.No_fault) ~file src =
-  let surface = Nml.Surface.of_string ~file src in
-  let prog = Nml.Infer.infer_program surface in
-  let ctx =
-    {
-      Rule.surface;
-      prog;
-      solver = lazy (Escape.Fixpoint.make prog);
-      dead_params = lazy (Rules.dead_params surface);
-      spinelive = lazy (Framework.Spinelive.Solver.make prog);
-      alias = lazy (Framework.Alias.Solver.make prog);
-      fault;
-    }
-  in
+  let unit = Pipeline.of_string ~file src in
+  let surface = Pipeline.surface unit in
+  let prog = Pipeline.typed unit Pipeline.Source in
+  let ctx = { Rule.unit; dead_params = lazy (Rules.dead_params surface); fault } in
   let hits = ref 0 and misses = ref 0 in
   let raw =
     match store with
@@ -175,9 +166,9 @@ let run ?(config = Registry.default) ?store ?(fault = Rule.No_fault) ~file src =
     suppressed;
     defs = List.length surface.Nml.Surface.defs;
     evaluations =
-      (if Lazy.is_val ctx.Rule.solver then
-         Escape.Fixpoint.evaluations (Lazy.force ctx.Rule.solver)
-       else 0);
+      (match Pipeline.escape_if_built unit Pipeline.Source with
+      | Some t -> Escape.Fixpoint.evaluations t
+      | None -> 0);
     scc_hits = !hits;
     scc_misses = !misses;
   }

@@ -20,20 +20,12 @@
 type fault = No_fault | Corrupt_invariance | Corrupt_sharing
 
 type ctx = {
-  surface : Nml.Surface.t;
-  prog : Nml.Infer.program;
-  solver : Escape.Fixpoint.t Lazy.t;
-      (* forced only when a rule actually needs fixpoint results, so a
-         fully warm cache run never evaluates an entry *)
+  unit : Pipeline.t;
+      (* the program's compilation unit: every solver is built on first
+         use, so a fully warm cache run never evaluates an entry *)
   dead_params : (string * int) list Lazy.t;
       (* (definition, 1-based parameter): occurs in the body but is
          never truly used (see {!Rules.dead_params}) *)
-  spinelive : Framework.Spinelive.Solver.t Lazy.t;
-      (* the spine-liveness solver (LINT007's evidence), forced only
-         when a rule needs liveness verdicts *)
-  alias : Framework.Alias.Solver.t Lazy.t;
-      (* the sharing solver (LINT008's evidence), forced only when a
-         rule needs sharing verdicts *)
   fault : fault;
 }
 
@@ -46,6 +38,10 @@ type t = {
   check_program : ctx -> Nml.Diagnostic.t list;
 }
 
-let solver ctx = Lazy.force ctx.solver
+let surface ctx = Pipeline.surface ctx.unit
+let prog ctx = Pipeline.typed ctx.unit Pipeline.Source
+let solver ctx = Pipeline.escape ctx.unit Pipeline.Source
+let spinelive ctx = Pipeline.spinelive ctx.unit
+let alias ctx = Pipeline.alias ctx.unit Pipeline.Source
 let no_scc _ ~members:_ = []
 let no_program _ = []

@@ -17,18 +17,12 @@ type fault = No_fault | Corrupt_invariance | Corrupt_sharing
     fire. *)
 
 type ctx = {
-  surface : Nml.Surface.t;
-  prog : Nml.Infer.program;
-  solver : Escape.Fixpoint.t Lazy.t;
-      (** forced on first use; a fully warm cache run never forces it *)
+  unit : Pipeline.t;
+      (** the program's compilation unit, Source level: every solver is
+          built on first use, so a fully warm cache run never forces one *)
   dead_params : (string * int) list Lazy.t;
       (** [(definition, 1-based parameter)] pairs that occur in their
           body but are never truly used *)
-  spinelive : Framework.Spinelive.Solver.t Lazy.t;
-      (** the spine-liveness solver backing LINT007; forced on first
-          use, so runs without liveness findings never solve it *)
-  alias : Framework.Alias.Solver.t Lazy.t;
-      (** the sharing solver backing LINT008; forced on first use *)
   fault : fault;
 }
 
@@ -41,8 +35,17 @@ type t = {
   check_program : ctx -> Nml.Diagnostic.t list;
 }
 
+val surface : ctx -> Nml.Surface.t
+val prog : ctx -> Nml.Infer.program
+
 val solver : ctx -> Escape.Fixpoint.t
-(** Forces the shared solver. *)
+(** The shared escape solver, built on first use. *)
+
+val spinelive : ctx -> Framework.Spinelive.Solver.t
+(** The spine-liveness solver (LINT007's evidence), built on first use. *)
+
+val alias : ctx -> Framework.Alias.Solver.t
+(** The sharing solver (LINT008's evidence), built on first use. *)
 
 val no_scc : ctx -> members:string list -> Nml.Diagnostic.t list
 val no_program : ctx -> Nml.Diagnostic.t list

@@ -49,7 +49,7 @@ let param_binder_loc rhs i =
   walk 1 rhs
 
 let member_defs ctx members =
-  List.filter (fun (n, _) -> List.mem n members) ctx.Rule.surface.Nml.Surface.defs
+  List.filter (fun (n, _) -> List.mem n members) (Rule.surface ctx).Nml.Surface.defs
 
 (* The underscore convention: [_acc] opts a binder out of the unused /
    dead-parameter rules. *)
@@ -171,7 +171,7 @@ let missed_reuse ctx ~members =
   if defs = [] then []
   else
     let t = Rule.solver ctx in
-    let sub = { ctx.Rule.surface with Nml.Surface.defs = defs } in
+    let sub = { (Rule.surface ctx) with Nml.Surface.defs = defs } in
     let annotated =
       List.map (fun c -> c.Optimize.Reuse.def) (Optimize.Reuse.candidates t sub)
     in
@@ -274,7 +274,7 @@ let invariant_rows rows =
         rest
 
 let invariance ctx =
-  match Nml.Mono.run ctx.Rule.surface with
+  match Pipeline.mono ctx.Rule.unit with
   | exception Nml.Mono.Too_many_instances -> []
   | mono ->
       let by_orig =
@@ -288,13 +288,13 @@ let invariance ctx =
       let injected = ref false in
       List.concat_map
         (fun (orig, insts) ->
-          match List.assoc_opt orig ctx.Rule.surface.Nml.Surface.defs with
+          match List.assoc_opt orig (Rule.surface ctx).Nml.Surface.defs with
           | None -> []
           | Some _ when List.length insts < 2 -> []
           | Some rhs ->
               let t = Rule.solver ctx in
               let arity =
-                Nml.Infer.scheme_arity (Nml.Infer.def_scheme ctx.Rule.prog orig)
+                Nml.Infer.scheme_arity (Nml.Infer.def_scheme (Rule.prog ctx) orig)
               in
               List.filter_map
                 (fun i ->
@@ -347,7 +347,7 @@ let dead_spine ctx ~members =
     (fun (name, i) ->
       if not (List.mem name members) then None
       else
-        match List.assoc_opt name ctx.Rule.surface.Nml.Surface.defs with
+        match List.assoc_opt name (Rule.surface ctx).Nml.Surface.defs with
         | None -> None
         | Some rhs ->
             let params, _ = strip_lams rhs in
@@ -355,7 +355,7 @@ let dead_spine ctx ~members =
             (* the scheme, not the simplest instance: a parameter the
                definition never constrains shows up as a bare variable,
                and it is spiny at the instances that matter *)
-            let sty = Nml.Infer.scheme_ty (Nml.Infer.def_scheme ctx.Rule.prog name) in
+            let sty = Nml.Infer.scheme_ty (Nml.Infer.def_scheme (Rule.prog ctx) name) in
             if Ty.arity sty < n then None
             else
               let ty = List.nth (Ty.arg_tys sty n) (i - 1) in
@@ -424,7 +424,7 @@ let rec unused_in_expr e =
 let unused_scc ctx ~members =
   List.concat_map (fun (_, rhs) -> unused_in_expr rhs) (member_defs ctx members)
 
-let unused_program ctx = unused_in_expr ctx.Rule.surface.Nml.Surface.main
+let unused_program ctx = unused_in_expr (Rule.surface ctx).Nml.Surface.main
 
 (* ---- LINT006: unreachable branch ---------------------------------------------- *)
 
@@ -448,7 +448,7 @@ let rec unreachable_in_expr e =
 let unreachable_scc ctx ~members =
   List.concat_map (fun (_, rhs) -> unreachable_in_expr rhs) (member_defs ctx members)
 
-let unreachable_program ctx = unreachable_in_expr ctx.Rule.surface.Nml.Surface.main
+let unreachable_program ctx = unreachable_in_expr (Rule.surface ctx).Nml.Surface.main
 
 (* ---- LINT007: wasted spine at a call site ------------------------------------- *)
 
@@ -467,7 +467,7 @@ let rec spine_cells = function
    dependency cone, so the finding is cacheable per SCC like the
    escape-backed rules. *)
 let wasted_spine_in ctx e =
-  let is_def g = List.mem_assoc g ctx.Rule.prog.Nml.Infer.schemes in
+  let is_def g = List.mem_assoc g (Rule.prog ctx).Nml.Infer.schemes in
   let flatten e =
     let rec go acc = function A.App (_, f, a) -> go (a :: acc) f | h -> (h, acc) in
     go [] e
@@ -491,7 +491,7 @@ let wasted_spine_in ctx e =
         List.iter (walk bound) args;
         match head with
         | A.Var (_, g) when (not (List.mem g bound)) && is_def g ->
-            let t = Lazy.force ctx.Rule.spinelive in
+            let t = Rule.spinelive ctx in
             let m = Ty.arity (Framework.Spinelive.Solver.instance_ty t g) in
             List.iteri
               (fun j a ->
@@ -527,7 +527,7 @@ let wasted_spine_in ctx e =
 let wasted_spine ctx ~members =
   List.concat_map (fun (_, rhs) -> wasted_spine_in ctx rhs) (member_defs ctx members)
 
-let wasted_spine_program ctx = wasted_spine_in ctx ctx.Rule.surface.Nml.Surface.main
+let wasted_spine_program ctx = wasted_spine_in ctx (Rule.surface ctx).Nml.Surface.main
 
 (* ---- LINT008: mutation through a shared spine ---------------------------------- *)
 
@@ -544,11 +544,11 @@ let mutation_shared ctx ~members =
   if defs = [] then []
   else
     let t = Rule.solver ctx in
-    let sub = { ctx.Rule.surface with Nml.Surface.defs = defs } in
+    let sub = { (Rule.surface ctx) with Nml.Surface.defs = defs } in
     let cands = Optimize.Reuse.candidates t sub in
     if cands = [] then []
     else
-      let al = Lazy.force ctx.Rule.alias in
+      let al = Rule.alias ctx in
       let injected = ref false in
       List.filter_map
         (fun (c : Optimize.Reuse.candidate) ->

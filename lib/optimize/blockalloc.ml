@@ -1,4 +1,4 @@
-type annotation = {
+type annotation = Annotate.block_annotation = {
   consumer : string;
   producer : string;
   specialized : string;
@@ -10,16 +10,4 @@ type report = { annotations : annotation list }
 
 let annotate t surface =
   let ir, r = Annotate.annotate ~stack:false ~block:true t surface in
-  let annotations =
-    List.map
-      (fun (a : Annotate.block_annotation) ->
-        {
-          consumer = a.Annotate.consumer;
-          producer = a.Annotate.producer;
-          specialized = a.Annotate.specialized;
-          arena = a.Annotate.arena;
-          loc = a.Annotate.loc;
-        })
-      r.Annotate.block
-  in
-  (ir, { annotations })
+  (ir, { annotations = r.Annotate.block })

@@ -12,7 +12,7 @@
     specialized [g_blk] whose result-position conses allocate into a
     block, and wraps the call in [WithArena (Block, ...)]. *)
 
-type annotation = {
+type annotation = Annotate.block_annotation = {
   consumer : string;  (** [f], whose return frees the block *)
   producer : string;  (** [g], whose result spine fills the block *)
   specialized : string;  (** name of the block-allocating copy of [g] *)

@@ -1,4 +1,4 @@
-type annotation = {
+type annotation = Annotate.stack_annotation = {
   func : string;
   arg : int;
   levels : int;
@@ -9,16 +9,4 @@ type report = { annotations : annotation list }
 
 let annotate t surface =
   let ir, r = Annotate.annotate ~stack:true ~block:false t surface in
-  let annotations =
-    List.map
-      (fun (a : Annotate.stack_annotation) ->
-        {
-          func = a.Annotate.func;
-          arg = a.Annotate.arg;
-          levels = a.Annotate.levels;
-          arena = a.Annotate.arena;
-          loc = a.Annotate.loc;
-        })
-      r.Annotate.stack
-  in
-  (ir, { annotations })
+  (ir, { annotations = r.Annotate.stack })

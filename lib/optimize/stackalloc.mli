@@ -8,7 +8,7 @@
     (to the proven depth) into the arena: the machine frees them all,
     without garbage collection work, when the call returns. *)
 
-type annotation = {
+type annotation = Annotate.stack_annotation = {
   func : string;  (** callee *)
   arg : int;  (** annotated argument position *)
   levels : int;  (** how many top spine levels go to the region *)

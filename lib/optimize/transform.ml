@@ -44,82 +44,58 @@ let add_defs prog extra =
   | Ir.Letrec (ds, m), _ -> Ir.Letrec (ds @ extra, m)
   | m, _ -> Ir.Letrec (extra, m)
 
-let optimize_with t options (surface : Nml.Surface.t) =
+(* [alias] is demanded only when alias-informed reuse is on; it must be
+   the sharing solver over the same program [t] was built on, since
+   Reuse takes the max of both judgments *)
+let transform ~alias t options (surface : Nml.Surface.t) =
   let primed, main', reuse_report =
     if options.reuse then
-      let alias =
-        (* the sharing solver runs over the same (monomorphized) program
-           the escape solver saw; Reuse takes the max of both judgments *)
-        if options.alias_reuse then
-          Some (Framework.Alias.Solver.make (Nml.Infer.infer_program surface))
-        else None
-      in
+      let alias = if options.alias_reuse then Some (alias ()) else None in
       let p, m, r = Reuse.apply ?alias t surface in
       (p, m, Some r)
     else ([], surface.Nml.Surface.main, None)
   in
   let surface' = { surface with Nml.Surface.main = main' } in
   let ir, stack_report, block_report, pretenure_sites =
-    if options.stack || options.block || options.pretenure then begin
+    if options.stack || options.block || options.pretenure then
       let ir, rep =
         Annotate.annotate ~stack:options.stack ~block:options.block
           ~pretenure:options.pretenure t surface'
       in
-      let stack_report =
-        if options.stack then
-          Some
-            {
-              Stackalloc.annotations =
-                List.map
-                  (fun (a : Annotate.stack_annotation) ->
-                    {
-                      Stackalloc.func = a.Annotate.func;
-                      arg = a.Annotate.arg;
-                      levels = a.Annotate.levels;
-                      arena = a.Annotate.arena;
-                      loc = a.Annotate.loc;
-                    })
-                  rep.Annotate.stack;
-            }
-        else None
-      in
-      let block_report =
-        if options.block then
-          Some
-            {
-              Blockalloc.annotations =
-                List.map
-                  (fun (a : Annotate.block_annotation) ->
-                    {
-                      Blockalloc.consumer = a.Annotate.consumer;
-                      producer = a.Annotate.producer;
-                      specialized = a.Annotate.specialized;
-                      arena = a.Annotate.arena;
-                      loc = a.Annotate.loc;
-                    })
-                  rep.Annotate.block;
-            }
-        else None
-      in
-      (ir, stack_report, block_report, rep.Annotate.pretenure_sites)
-    end
-    else begin
+      ( ir,
+        (if options.stack then Some { Stackalloc.annotations = rep.Annotate.stack }
+         else None),
+        (if options.block then Some { Blockalloc.annotations = rep.Annotate.block }
+         else None),
+        rep.Annotate.pretenure_sites )
+    else
       let defs_ir =
         List.map (fun (n, rhs) -> (n, Ir.of_ast rhs)) surface'.Nml.Surface.defs
       in
       let main_ir = Ir.of_ast surface'.Nml.Surface.main in
       let prog = match defs_ir with [] -> main_ir | ds -> Ir.Letrec (ds, main_ir) in
       (prog, None, None, 0)
-    end
   in
   { ir = add_defs ir primed; reuse_report; stack_report; block_report; pretenure_sites }
 
-let optimize ?(options = all) surface =
-  let surface =
-    if options.monomorphize then (Nml.Mono.run surface).Nml.Mono.program else surface
-  in
-  let t = Fix.make (Nml.Infer.infer_program surface) in
-  optimize_with t options surface
+let optimize_with t options surface =
+  transform
+    ~alias:(fun () -> Framework.Alias.Solver.make (Nml.Infer.infer_program surface))
+    t options surface
+
+type Pipeline.ext += Optimized of options * result
+
+let optimize_unit ?(options = all) u =
+  Pipeline.memo u
+    ~find:(function Optimized (o, r) when o = options -> Some r | _ -> None)
+    ~store:(fun r -> Optimized (options, r))
+    (fun () ->
+      let level = if options.monomorphize then Pipeline.Mono else Pipeline.Source in
+      transform
+        ~alias:(fun () -> Pipeline.alias u level)
+        (Pipeline.escape u level) options (Pipeline.program u level))
+
+let optimize ?options surface = optimize_unit ?options (Pipeline.of_surface surface)
 
 let pp_report ppf r =
   Format.fprintf ppf "@[<v 0>";

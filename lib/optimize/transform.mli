@@ -1,6 +1,7 @@
 (** Driver combining the three storage optimizations.
 
-    Given a program, runs the escape analysis once and applies, in order:
+    Given a compilation unit ({!Pipeline.t}), queries its escape solver
+    and applies, in order:
 
     + {e in-place reuse} ({!Reuse}) — rewrites definitions and call sites;
     + {e stack allocation} ({!Stackalloc}) — wraps main-expression calls
@@ -44,11 +45,22 @@ type result = {
   pretenure_sites : int;  (** cons sites retargeted to [Ir.Pretenured] *)
 }
 
+val optimize_unit : ?options:options -> Pipeline.t -> result
+(** The optimizer's stage of a compilation unit, memoized there per
+    [options].  It reads the unit's escape and sharing solvers at the
+    Mono level ({!Pipeline.Mono}) when [monomorphize] is on, at the
+    Source level otherwise, so a later client of the same unit (the
+    [vet] audit, a second option set) queries the solver this call
+    already filled instead of inferring and solving again. *)
+
 val optimize : ?options:options -> Nml.Surface.t -> result
-(** Builds a solver internally (after monomorphizing, when enabled). *)
+(** [optimize_unit] on a fresh unit: monomorphizes (when enabled), infers
+    and builds both solvers for this call alone. *)
 
 val optimize_with : Escape.Fixpoint.t -> options -> Nml.Surface.t -> result
 (** Like {!optimize} with a caller-supplied solver; the [monomorphize]
-    option is ignored here (the solver must match the program). *)
+    option is ignored here (the solver must match the program).  The
+    sharing solver, when [alias_reuse] needs it, is built from a fresh
+    inference of [surface]. *)
 
 val pp_report : Format.formatter -> result -> unit

@@ -72,25 +72,26 @@ let result_json (r : Cache.Batch.result) =
       ("errors", J.Str r.errors);
     ]
 
+(* The one vet path, shared by the [vet] verb and [nmlc vet]: audit [ir]
+   on the unit it came from (so the audit reads the escape solver the
+   optimizer already filled), with the dead-spine hints a generational
+   run would hand the heap — audited instead of trusted. *)
+let audit u ir = Vet.Verify.audit_unit ~hints:(Pipeline.hints u) u ir
+
+let render_audit (ds, summary) =
+  (if ds = [] then ""
+   else Format.asprintf "%a@." (Nml.Diagnostic.render Nml.Diagnostic.Human) ds)
+  ^ Printf.sprintf "vet: %d annotation(s) audited, %d finding(s)\n"
+      summary.Vet.Verify.audited summary.Vet.Verify.findings
+
 let vet_result ~path src =
   Cache.Batch.protect path (fun () ->
-      let s = Nml.Surface.of_string ~file:path src in
-      let ir =
-        (Optimize.Transform.optimize ~options:Optimize.Transform.all s)
-          .Optimize.Transform.ir
-      in
-      let ds, summary = Vet.Verify.audit ~source:s ir in
-      let rendered =
-        if ds = [] then ""
-        else
-          Format.asprintf "%a@." (Nml.Diagnostic.render Nml.Diagnostic.Human) ds
-      in
+      let u = Pipeline.of_string ~file:path src in
+      let ir = (Optimize.Transform.optimize_unit u).Optimize.Transform.ir in
+      let ((_, summary) as audit) = audit u ir in
       {
         Cache.Batch.path;
-        output =
-          rendered
-          ^ Printf.sprintf "vet: %d annotation(s) audited, %d finding(s)\n"
-              summary.Vet.Verify.audited summary.Vet.Verify.findings;
+        output = render_audit audit;
         errors = "";
         code = (if summary.Vet.Verify.findings > 0 then 1 else 0);
         defs = 0;

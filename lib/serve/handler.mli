@@ -21,4 +21,14 @@ val quarantine_key : Protocol.request -> string
 (** The content-sensitive quarantine identity of a request's input:
     fixing a crashing file lifts its quarantine without a restart. *)
 
+val audit : Pipeline.t -> Runtime.Ir.expr -> Nml.Diagnostic.t list * Vet.Verify.summary
+(** The one [vet] path, shared by the [vet] verb and [nmlc vet]:
+    {!Vet.Verify.audit_unit} of an annotated program on the unit it was
+    optimized from, with that unit's dead-spine hints
+    ({!Pipeline.hints}). *)
+
+val render_audit : Nml.Diagnostic.t list * Vet.Verify.summary -> string
+(** The human rendering both print: the diagnostics, then the
+    [vet: N annotation(s) audited, M finding(s)] line. *)
+
 val handle : t -> Pool.job -> Pool.resp

@@ -91,9 +91,9 @@ let leading_params e =
   in
   go [] e
 
-let points ~source ir =
+let points unit ir =
   let mono_names =
-    match Nml.Mono.run source with
+    match Pipeline.mono unit with
     | m -> List.map fst m.Nml.Mono.program.Nml.Surface.defs
     | exception (Nml.Infer.Error _ | Nml.Mono.Too_many_instances) -> []
   in
@@ -448,15 +448,15 @@ let points ~source ir =
   in
   retargets @ unwraps @ flips @ injections @ redirects @ main_redirects
 
-let campaign ?(seed = 0) ~count ~source ir =
-  let pts = points ~source ir in
+let campaign ?(seed = 0) ~count unit ir =
+  let pts = points unit ir in
   if pts = [] then { points = 0; draws = 0; detected = 0; survivors = [] }
   else begin
     let rng = Random.State.make [| seed |] in
     let detected = ref 0 and survivors = ref [] in
     for _ = 1 to count do
       let p = List.nth pts (Random.State.int rng (List.length pts)) in
-      let ds, _ = Verify.audit ~source (Lazy.force p.mutant) in
+      let ds, _ = Verify.audit_unit unit (Lazy.force p.mutant) in
       if Nml.Diagnostic.has_errors ds then incr detected
       else if not (List.mem p.label !survivors) then
         survivors := p.label :: !survivors

@@ -19,10 +19,10 @@ type point = {
   mutant : Runtime.Ir.expr Lazy.t;
 }
 
-val points : source:Nml.Surface.t -> Runtime.Ir.expr -> point list
-(** Every applicable mutation point of the program, in a deterministic
-    order.  Only edits guaranteed to be unsound (no equivalent mutants)
-    are proposed. *)
+val points : Pipeline.t -> Runtime.Ir.expr -> point list
+(** Every applicable mutation point of the unit's annotated program, in
+    a deterministic order.  Only edits guaranteed to be unsound (no
+    equivalent mutants) are proposed. *)
 
 type outcome = {
   points : int;
@@ -34,8 +34,11 @@ type outcome = {
 val campaign :
   ?seed:int ->
   count:int ->
-  source:Nml.Surface.t ->
+  Pipeline.t ->
   Runtime.Ir.expr ->
   outcome
-(** [campaign ~count ~source ir] draws [count] points (with replacement)
-    from {!points} and audits each mutant.  [seed] defaults to 0. *)
+(** [campaign ~count u ir] draws [count] points (with replacement) from
+    {!points} and audits each mutant with {!Verify.audit_unit} on [u]:
+    the mutants differ only in their annotations, so they all share the
+    unit's one monomorphization and escape solve.  [seed] defaults to
+    0. *)

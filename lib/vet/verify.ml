@@ -615,14 +615,15 @@ let check_arena ctx (ac : Claims.arena_claim) =
 
 (* ---- entry point ------------------------------------------------------------ *)
 
-let audit ?(hints = []) ~source ir =
+let audit_unit ?(hints = []) unit ir =
+  let source = Pipeline.surface unit in
   let diags = ref [] in
   let add d = diags := d :: !diags in
   let finish audited =
     let ds = List.sort_uniq D.compare !diags in
     (ds, { audited; findings = List.length ds })
   in
-  match Nml.Mono.run source with
+  match Pipeline.mono unit with
   | exception Nml.Infer.Error (loc, msg) ->
       add (D.errorf ~code:"VET016" loc "cannot verify: %s" msg);
       finish 0
@@ -634,7 +635,7 @@ let audit ?(hints = []) ~source ir =
       finish 0
   | mono -> (
       let msurf = mono.Nml.Mono.program in
-      match Fix.make (Nml.Infer.infer_program msurf) with
+      match Pipeline.escape unit Pipeline.Mono with
       | exception Nml.Infer.Error (loc, msg) ->
           add (D.errorf ~code:"VET016" loc "cannot verify: %s" msg);
           finish 0
@@ -802,3 +803,5 @@ let audit ?(hints = []) ~source ir =
             hints;
           finish
             (List.length claims + List.length arenas + !(ctx.calls) + !hint_count))
+
+let audit ?hints ~source ir = audit_unit ?hints (Pipeline.of_surface source) ir

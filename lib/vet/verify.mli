@@ -8,6 +8,15 @@
     {!Optimize.Annotate}): where the optimizer decides what is sound to
     emit, the verifier independently checks what was emitted.
 
+    What it does share is the escape {e solve}.  The analysis
+    ({!Escape.Fixpoint}) is the specification both sides answer to, so
+    {!audit_unit} reads the Mono-level solver of the compilation unit
+    ({!Pipeline.escape}) — the one the optimizer already queried, when
+    the driver ran it on the same unit — instead of monomorphizing,
+    inferring and solving the program a second time.  The claims, the
+    sharing re-derivation ({!Share}) and the IR walk stay the
+    verifier's own.
+
     Obligations, with their stable diagnostic codes:
 
     - [VET001] an allocation (direct, or reachable through a call) targets
@@ -47,13 +56,22 @@ type summary = {
   findings : int;
 }
 
+val audit_unit :
+  ?hints:(string * int list) list ->
+  Pipeline.t ->
+  Runtime.Ir.expr ->
+  Nml.Diagnostic.t list * summary
+(** [audit_unit u ir] audits [ir] as the annotated form of [u]'s program.
+    [hints] are the advisory [(definition, 1-based parameter indices)]
+    dead-spine pairs the driver would hand the heap
+    ({!Runtime.Heap.config}); each is independently re-derived and
+    violations are reported as [VET018].  A program the unit cannot
+    monomorphize or type is one [VET016] finding.  The diagnostics come
+    back deduplicated and sorted ({!Nml.Diagnostic.compare}). *)
+
 val audit :
   ?hints:(string * int list) list ->
   source:Nml.Surface.t ->
   Runtime.Ir.expr ->
   Nml.Diagnostic.t list * summary
-(** [hints] are the advisory [(definition, 1-based parameter indices)]
-    dead-spine pairs the driver would hand the heap
-    ({!Runtime.Heap.config}); each is independently re-derived and
-    violations are reported as [VET018].  The diagnostics come back
-    deduplicated and sorted ({!Nml.Diagnostic.compare}). *)
+(** {!audit_unit} on a fresh unit over [source]. *)

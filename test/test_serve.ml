@@ -595,6 +595,50 @@ let server_units =
                   ("expected SRV008, got " ^ Option.value ~default:"a result" c)));
   ]
 
+(* ---- one vet path ------------------------------------------------------------- *)
+
+let examples_dir = "../examples/programs"
+
+(* stdout and exit code of the built CLI *)
+let cli args =
+  let ic = Unix.open_process_args_in "../bin/nmlc.exe" (Array.of_list ("nmlc" :: args)) in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED c -> (out, c)
+  | _ -> Alcotest.fail "nmlc was killed"
+
+let vet_units =
+  [
+    Alcotest.test_case "daemon-vet-is-cli-vet" `Slow (fun () ->
+        (* the daemon's vet verb audits the same spine-liveness hints as
+           [nmlc vet], through the same function, so the two agree byte
+           for byte on every shipped example *)
+        with_server @@ fun ~dir:_ ~sock ~store:_ ->
+        let files =
+          Sys.readdir examples_dir |> Array.to_list
+          |> List.filter (fun f -> Filename.check_suffix f ".nml")
+          |> List.sort String.compare
+          |> List.map (Filename.concat examples_dir)
+        in
+        checkb "some examples" true (List.length files >= 5);
+        List.iter
+          (fun path ->
+            let resp = call sock ~meth:"vet" path in
+            let field k =
+              match J.member "result" resp with
+              | Some r -> J.member k r
+              | None -> Alcotest.failf "%s: no result" path
+            in
+            let out, code = cli [ "vet"; path ] in
+            (match field "output" with
+            | Some (J.Str o) -> checks (path ^ " output") out o
+            | _ -> Alcotest.failf "%s: no output" path);
+            match field "code" with
+            | Some (J.Num c) -> checki (path ^ " code") code (int_of_float c)
+            | _ -> Alcotest.failf "%s: no code" path)
+          files);
+  ]
+
 let () =
   Alcotest.run "serve"
     [
@@ -605,4 +649,5 @@ let () =
       ("stress", stress_units);
       ("pool", pool_units);
       ("server", server_units);
+      ("vet", vet_units);
     ]

@@ -13,13 +13,15 @@ module Ir = Runtime.Ir
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
+(* the optimizer's output and the unit it came from, as [nmlc vet] sees
+   them: the audits below read the solver the optimizer filled *)
 let optimize src =
-  let s = Nml.Surface.of_string src in
-  (s, (Optimize.Transform.optimize s).Optimize.Transform.ir)
+  let u = Pipeline.of_string src in
+  (u, (Optimize.Transform.optimize_unit u).Optimize.Transform.ir)
 
 let audit_src src =
-  let s, ir = optimize src in
-  V.audit ~source:s ir
+  let u, ir = optimize src in
+  V.audit_unit u ir
 
 let has_code c ds = List.exists (fun d -> String.equal d.D.code c) ds
 
@@ -62,43 +64,43 @@ let mutation_tests =
     Alcotest.test_case "every-corpus-mutant-is-detected" `Quick (fun () ->
         List.iter
           (fun (name, src) ->
-            let s, ir = optimize src in
+            let u, ir = optimize src in
             List.iter
               (fun p ->
-                let ds, _ = V.audit ~source:s (Lazy.force p.M.mutant) in
+                let ds, _ = V.audit_unit u (Lazy.force p.M.mutant) in
                 if not (D.has_errors ds) then
                   Alcotest.failf "%s: surviving mutant: %s" name p.M.label)
-              (M.points ~source:s ir))
+              (M.points u ir))
           H.builtin_corpus);
     Alcotest.test_case "corpus-has-mutation-points" `Quick (fun () ->
         let total =
           List.fold_left
             (fun acc (_, src) ->
-              let s, ir = optimize src in
-              acc + List.length (M.points ~source:s ir))
+              let u, ir = optimize src in
+              acc + List.length (M.points u ir))
             0 H.builtin_corpus
         in
         checkb "some points exist" true (total > 10));
     Alcotest.test_case "campaign-is-deterministic" `Quick (fun () ->
         let src = Nml.Examples.partition_sort_program in
-        let s, ir = optimize src in
-        let a = M.campaign ~seed:3 ~count:40 ~source:s ir in
-        let b = M.campaign ~seed:3 ~count:40 ~source:s ir in
+        let u, ir = optimize src in
+        let a = M.campaign ~seed:3 ~count:40 u ir in
+        let b = M.campaign ~seed:3 ~count:40 u ir in
         checki "points" a.M.points b.M.points;
         checki "detected" a.M.detected b.M.detected;
         checkb "survivors" true (a.M.survivors = b.M.survivors));
     Alcotest.test_case "campaign-detects-everything" `Quick (fun () ->
         let src = Nml.Examples.partition_sort_program in
-        let s, ir = optimize src in
-        let o = M.campaign ~seed:0 ~count:60 ~source:s ir in
+        let u, ir = optimize src in
+        let o = M.campaign ~seed:0 ~count:60 u ir in
         checki "all draws detected" o.M.draws o.M.detected;
         checkb "no survivors" true (o.M.survivors = []));
     Alcotest.test_case "redirect-family-is-not-vacuous" `Quick (fun () ->
         (* the original definition keeps an unprimed recursive call on a
            projection of its own parameter: redirecting it to the
            destructive variant must be an available mutation *)
-        let s, ir = optimize Nml.Examples.rev_program in
-        let pts = M.points ~source:s ir in
+        let u, ir = optimize Nml.Examples.rev_program in
+        let pts = M.points u ir in
         checkb "has a redirect point" true
           (List.exists
              (fun p ->
@@ -203,25 +205,25 @@ let hint_tests =
     Alcotest.test_case "derivable-hint-audits-clean" `Quick (fun () ->
         (* hd only ever takes the head of l: its spine past the first
            cell is dead, so the advisory hint is re-derivable *)
-        let s, ir = optimize "letrec hd l = car l in hd [1, 2]" in
-        let ds, sum = V.audit ~hints:[ ("hd", [ 1 ]) ] ~source:s ir in
+        let u, ir = optimize "letrec hd l = car l in hd [1, 2]" in
+        let ds, sum = V.audit_unit ~hints:[ ("hd", [ 1 ]) ] u ir in
         checkb ("clean, got: " ^ codes ds) true (ds = []);
         checkb "hint was audited" true (sum.V.audited >= 1));
     Alcotest.test_case "bogus-hint-is-VET018" `Quick (fun () ->
         (* sum null-tests l and forwards its tail through cdr: the spine
            is live, so the hint must be refused *)
-        let s, ir =
+        let u, ir =
           optimize
             "letrec sum l = if null l then 0 else car l + sum (cdr l) in \
              sum [1, 2]"
         in
-        let ds, _ = V.audit ~hints:[ ("sum", [ 1 ]) ] ~source:s ir in
+        let ds, _ = V.audit_unit ~hints:[ ("sum", [ 1 ]) ] u ir in
         checkb ("VET018 in: " ^ codes ds) true (has_code "VET018" ds));
     Alcotest.test_case "hint-for-dropped-def-is-vacuous" `Quick (fun () ->
         (* monomorphization never emits an instance of a name that does
            not exist: nothing to audit, nothing to report *)
-        let s, ir = optimize "letrec hd l = car l in hd [1, 2]" in
-        let ds, _ = V.audit ~hints:[ ("ghost", [ 1 ]) ] ~source:s ir in
+        let u, ir = optimize "letrec hd l = car l in hd [1, 2]" in
+        let ds, _ = V.audit_unit ~hints:[ ("ghost", [ 1 ]) ] u ir in
         checkb ("clean, got: " ^ codes ds) true (ds = []));
   ]
 
@@ -280,8 +282,8 @@ let let_tests =
         let src =
           let_defs ^ "filter (fun x -> x < 15) (let v = [1, 2] in fsts (zip v v))"
         in
-        let s, ir = optimize src in
-        let ds, _ = V.audit ~source:s ir in
+        let u, ir = optimize src in
+        let ds, _ = V.audit_unit u ir in
         checkb ("clean, got: " ^ codes ds) true (ds = []);
         checkb "the call is destructive" true
           (match ir with
@@ -296,18 +298,18 @@ let let_tests =
         let src =
           let_defs ^ "let w = [1, 2] in zip (filter (fun x -> x < 15) (let v = w in v)) w"
         in
-        let s, ir = optimize src in
-        checkb "optimizer output clean" true (fst (V.audit ~source:s ir) = []);
+        let u, ir = optimize src in
+        checkb "optimizer output clean" true (fst (V.audit_unit u ir) = []);
         match
           List.find_opt
             (fun p ->
               String.starts_with ~prefix:"redirect: call 0 of filter on a shared let spine"
                 p.M.label)
-            (M.points ~source:s ir)
+            (M.points u ir)
         with
         | None -> Alcotest.fail "no redirect point on the shared let spine"
         | Some p ->
-            let ds, _ = V.audit ~source:s (Lazy.force p.M.mutant) in
+            let ds, _ = V.audit_unit u (Lazy.force p.M.mutant) in
             checkb ("VET015 in: " ^ codes ds) true (has_code "VET015" ds));
     Alcotest.test_case "disjoint-let-projections-give-no-redirect" `Quick (fun () ->
         (* the main call consumes [cdr v] and the body reads only [car v]
@@ -319,7 +321,7 @@ let let_tests =
           let_defs
           ^ "let v = [1, 2] in zip (filter (fun x -> x < 15) (cdr v)) (cons (car v) nil)"
         in
-        let s, ir = optimize src in
+        let u, ir = optimize src in
         let rec copying = function
           | Ir.Var "filter'" -> Ir.Var "filter"
           | Ir.App (f, a) -> Ir.App (copying f, copying a)
@@ -332,8 +334,8 @@ let let_tests =
           | Ir.Letrec (ds, main) -> Ir.Letrec (ds, copying main)
           | _ -> Alcotest.fail "no definitions"
         in
-        checkb "copying main vets clean" true (fst (V.audit ~source:s ir) = []);
-        let pts = M.points ~source:s ir in
+        checkb "copying main vets clean" true (fst (V.audit_unit u ir) = []);
+        let pts = M.points u ir in
         checkb "filter' is defined: filter is a redirect target" true
           (match ir with Ir.Letrec (ds, _) -> List.mem_assoc "filter'" ds | _ -> false);
         checkb "no redirect point on a let spine" false
